@@ -200,7 +200,7 @@ func (c *CPU) Clone(io IOBus) *CPU {
 		halted:     c.halted,
 		dec:        c.dec,
 	}
-	copy(cp.Mem.words[:], c.Mem.words[:])
+	*cp.Mem = *c.Mem
 	*cp.Cache = *c.Cache
 	return cp
 }

@@ -1,5 +1,7 @@
 package cpu
 
+import "math/bits"
+
 // Full-machine checkpointing. A Snapshot captures every bit of state
 // that influences future execution — registers, PC, flags, the
 // control-flow-checking latch, the halt latch, the instruction counter,
@@ -88,7 +90,7 @@ func (c *CPU) Restore(s *Snapshot) {
 	c.instrCount = s.InstrCount
 	c.lastJump = s.LastJump
 	c.halted = s.Halted
-	copy(c.Mem.words[:], s.Mem)
+	c.Mem.load(s.Mem)
 	c.Cache.Hits = s.Cache.Hits
 	c.Cache.Misses = s.Cache.Misses
 	for i := range c.Cache.lines {
@@ -130,13 +132,19 @@ const (
 
 // StateDigest hashes the full behavioural state: registers, PC, flags,
 // the control-flow and halt latches, the instruction counter, the cache
-// (tags, status bits, data) and the whole memory backing store.
+// (tags, status bits, data) and the whole memory backing store. Memory
+// enters through its running sum (see Memory.sum), so the cost is that
+// of the ~60 register and cache words, not of the 4096 memory words.
+// The digest is an in-process comparison key only: its value may change
+// between versions.
 func (c *CPU) StateDigest() Digest {
-	h1 := uint64(fnvOffset)
-	h2 := uint64(digestOffset2)
+	h1 := c.Mem.sum[0] ^ fnvOffset
+	h2 := c.Mem.sum[1] ^ digestOffset2
+	// Each step is a bijection of the running lane, so two states that
+	// differ in exactly one word always digest differently.
 	mix := func(v uint32) {
-		h1 = fnv1a(h1, v)
-		h2 = (h2 ^ uint64(v)) * digestPrime2
+		h1 = bits.RotateLeft64((h1^uint64(v))*fnvPrime, 31)
+		h2 = bits.RotateLeft64((h2^uint64(v))*digestPrime2, 27)
 	}
 	for r := 1; r < 16; r++ {
 		mix(c.Regs[r])
@@ -152,8 +160,5 @@ func (c *CPU) StateDigest() Digest {
 			mix(w)
 		}
 	}
-	for _, w := range c.Mem.words {
-		mix(w)
-	}
-	return Digest{h1, h2}
+	return Digest{fmix64(h1), splitmix64(h2)}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -159,5 +160,60 @@ func TestStateDigestSensitivity(t *testing.T) {
 	m.Cache.Hits += 5
 	if m.StateDigest() != base {
 		t.Error("hit counter changed the behavioural digest")
+	}
+}
+
+// TestMemorySumIncremental drives random WriteWord / Restore / Clone
+// sequences and requires the running memory digest to equal a
+// from-scratch recompute after every step.
+func TestMemorySumIncremental(t *testing.T) {
+	p := assembleSnap(t)
+	rng := rand.New(rand.NewSource(41))
+	c := New(p, newStubIO())
+	check := func(step int, m *CPU) {
+		t.Helper()
+		if got, want := m.Mem.sum, memorySum(&m.Mem.words); got != want {
+			t.Fatalf("step %d: running sum %x, recompute %x", step, got, want)
+		}
+	}
+	check(-1, c)
+	var snaps []*Snapshot
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 14:
+			// Small value range so writes often restore an old value or zero.
+			addr := uint32(rng.Intn(int(MemSize/4))) * 4
+			c.Mem.WriteWord(addr, uint32(rng.Intn(4)))
+		case op < 16:
+			snaps = append(snaps, c.Snapshot())
+		case op < 18 && len(snaps) > 0:
+			c.Restore(snaps[rng.Intn(len(snaps))])
+		default:
+			c = c.Clone(newStubIO())
+		}
+		check(step, c)
+	}
+}
+
+// TestStateDigestEveryMemoryBit pins that flipping any single bit of
+// any memory word changes the state digest, and flipping it back
+// restores it.
+func TestStateDigestEveryMemoryBit(t *testing.T) {
+	p := assembleSnap(t)
+	c := New(p, newStubIO())
+	stepN(t, c, 120)
+	base := c.StateDigest()
+	for addr := uint32(0); addr < MemSize; addr += 4 {
+		orig := c.Mem.ReadWord(addr)
+		for b := 0; b < 32; b++ {
+			c.Mem.WriteWord(addr, orig^1<<b)
+			if c.StateDigest() == base {
+				t.Fatalf("flipping bit %d of word %#x left the digest unchanged", b, addr)
+			}
+			c.Mem.WriteWord(addr, orig)
+		}
+	}
+	if c.StateDigest() != base {
+		t.Fatal("undoing every flip did not restore the digest")
 	}
 }

@@ -229,10 +229,15 @@ func TestCoordinatorLeaseExpiryReLeases(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 40, Seed: 9}
 	want := soloBytes(t, spec)
 
+	// Records are the only heartbeats, and a healthy re-lease can go a
+	// few hundred milliseconds between them under the race detector on
+	// a small machine (lockstep lanes finish together), so the TTL
+	// leaves a wide margin over that gap.
+	const ttl = 2 * time.Second
 	start := time.Now()
 	res, err := Run(context.Background(), spec, []Executor{wedgingExecutor{}}, Options{
 		ShardSize:  40,
-		LeaseTTL:   400 * time.Millisecond,
+		LeaseTTL:   ttl,
 		SegmentDir: t.TempDir(),
 		Logger:     quietLogger(),
 	})
@@ -242,7 +247,7 @@ func TestCoordinatorLeaseExpiryReLeases(t *testing.T) {
 	if res.Releases != 1 {
 		t.Fatalf("Releases = %d, want 1 (one expired lease)", res.Releases)
 	}
-	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
+	if elapsed := time.Since(start); elapsed < ttl {
 		t.Fatalf("finished in %v, before the lease could have expired", elapsed)
 	}
 	if got := distBytes(t, res); !bytes.Equal(got, want) {

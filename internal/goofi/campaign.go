@@ -125,10 +125,9 @@ type Config struct {
 
 	// Model selects the fault model for every injection (the zero
 	// value is the paper's permanent single bit-flip). Non-default
-	// models cleanly decline the prune and warm-start fast paths: the
-	// pruner's def-use reasoning and the checkpoint reconvergence
-	// argument are proven only for permanent single flips, so campaigns
-	// run full simulations rather than risk silent misclassification.
+	// models cleanly decline the prune fast path, whose def-use
+	// reasoning is proven only for permanent single flips; warm start
+	// (checkpoints and golden reconvergence) applies to every model.
 	Model inject.FaultModel
 
 	// BurstWidth is the adjacent-bit span for Model "burst"
@@ -211,7 +210,8 @@ type Result struct {
 	Records []Record
 
 	// WarmStart reports the checkpoint fast path's work avoidance;
-	// nil when the fast path was disabled.
+	// nil when the fast path was disabled or declined (detail-mode
+	// observers, armed detectors).
 	WarmStart *WarmStartStats
 
 	// Prune reports the fault-space pruner's work avoidance; nil when
@@ -277,26 +277,30 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// The warm-start fast path records state digests during the golden
 	// run so injected runs can detect re-convergence, and shares
-	// pre-injection checkpoints across the worker pool. The fault-space
+	// pre-injection checkpoints across the worker pool. It applies to
+	// every one-shot fault model: a checkpoint is the exact pre-injection
+	// state whatever the model, and a run whose state digest matches the
+	// golden run's at an iteration boundary (after any transient has
+	// been undone) evolves identically from there. The fault-space
 	// pruner piggybacks a def-use observer on the same golden run to
-	// build its event index. Detail-mode observers must see every
+	// build its event index; its def-use reasoning assumes permanent
+	// single flips, so only the default bit-flip model prunes
+	// (prune.SupportsModel). Detail-mode observers must see every
 	// instruction of every run, so they force full replays and disable
-	// pruning; trace mode simulates every selected experiment in detail,
-	// so it declines pruning too. Non-default fault models and armed
-	// detectors cleanly decline BOTH fast paths: the pruner's def-use
-	// reasoning assumes permanent single flips (prune.SupportsModel) and
-	// the checkpoint/golden-splice shortcuts skip instructions a
-	// detector must see — declining runs everything fully simulated
+	// both fast paths; trace mode simulates every selected experiment in
+	// detail, so it declines pruning too. Armed detectors decline both:
+	// the checkpoint and golden-splice shortcuts skip instructions a
+	// detector must see, so declining runs everything fully simulated
 	// instead of silently misclassifying.
 	detectOn := cfg.Detect.Enabled()
 	if cfg.Trace != nil && detectOn {
 		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
 	}
-	modelPrunable := prune.SupportsModel(string(cfg.Model))
 	warm := cfg.warm
 	prn := cfg.prune
-	useWarm := !cfg.DisableWarmStart && cfg.Spec.Observer == nil && modelPrunable && !detectOn
-	usePrune := !cfg.DisablePrune && cfg.Spec.Observer == nil && cfg.Trace == nil && modelPrunable && !detectOn
+	useWarm := !cfg.DisableWarmStart && cfg.Spec.Observer == nil && !detectOn
+	usePrune := !cfg.DisablePrune && cfg.Spec.Observer == nil && cfg.Trace == nil &&
+		prune.SupportsModel(string(cfg.Model)) && !detectOn
 
 	// The lockstep batcher shares one golden-prefix replay across a
 	// batch of experiments, forking a lane per injection point. It

@@ -8,20 +8,28 @@ import (
 	"ctrlguard/internal/workload"
 )
 
-// pilot runs a small campaign once per variant and caches the result:
-// campaigns are the expensive part of this package's tests.
-var pilotCache = map[workload.Variant]*Result{}
+// pilot runs a campaign of n experiments once per (variant, n) and
+// caches the result: campaigns are the expensive part of this package's
+// tests. The cache is keyed by size as well as variant because it
+// outlives a single pass of the tests (-count, -cpu), and callers rely
+// on getting exactly n records.
+type pilotKey struct {
+	v workload.Variant
+	n int
+}
+
+var pilotCache = map[pilotKey]*Result{}
 
 func pilot(t *testing.T, v workload.Variant, n int) *Result {
 	t.Helper()
-	if res, ok := pilotCache[v]; ok && len(res.Records) >= n {
+	if res, ok := pilotCache[pilotKey{v, n}]; ok {
 		return res
 	}
 	res, err := Run(Config{Variant: v, Experiments: n, Seed: 2001})
 	if err != nil {
 		t.Fatalf("campaign: %v", err)
 	}
-	pilotCache[v] = res
+	pilotCache[pilotKey{v, n}] = res
 	return res
 }
 

@@ -15,16 +15,17 @@ import (
 
 // nonDefaultModels are the extended fault models: the ones the
 // equivalence-class pruner does not understand and must cleanly
-// decline.
+// decline, while the warm start serves them like the default model.
 var nonDefaultModels = []inject.FaultModel{
 	workload.ModelPC, workload.ModelTransient, workload.ModelBurst,
 }
 
-// TestModelCampaignDeclinesPruneAndWarmStart pins the decline contract:
-// a campaign under any non-default fault model runs every experiment
-// from scratch — no pruner, no warm-start — instead of misclassifying
-// through machinery calibrated for single persistent bit flips.
-func TestModelCampaignDeclinesPruneAndWarmStart(t *testing.T) {
+// TestModelCampaignWarmStartsWithoutPruning pins the fast-path contract
+// for the extended models: the pruner (calibrated for single persistent
+// flips) declines, the warm start runs, and transients — mostly undone
+// one instruction after the flip — reconverge with the golden run and
+// exit early.
+func TestModelCampaignWarmStartsWithoutPruning(t *testing.T) {
 	for _, m := range nonDefaultModels {
 		res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 40, Seed: 5, Model: m})
 		if err != nil {
@@ -33,8 +34,11 @@ func TestModelCampaignDeclinesPruneAndWarmStart(t *testing.T) {
 		if res.Prune != nil {
 			t.Errorf("%s: pruner ran on an unsupported model", m)
 		}
-		if res.WarmStart != nil {
-			t.Errorf("%s: warm-start fast path ran on an unsupported model", m)
+		if res.WarmStart == nil {
+			t.Fatalf("%s: warm-start fast path declined", m)
+		}
+		if m == workload.ModelTransient && res.WarmStart.EarlyExits == 0 {
+			t.Errorf("%s: no experiment reconverged with the golden run: %+v", m, *res.WarmStart)
 		}
 		for i, rec := range res.Records {
 			if rec.Model != string(m) {
@@ -59,9 +63,10 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 	}
 }
 
-// modelIdentityCheck runs one campaign three ways — solo, with
-// warm-start/pruning explicitly disabled, and as a random shard
-// partition merged in order — and requires byte-identical record files.
+// modelIdentityCheck runs one campaign three ways — solo on the warm
+// path, with warm-start/pruning explicitly disabled, and as a random
+// shard partition merged in order — and requires byte-identical record
+// files.
 // This is the cross-validation property the distributed coordinator and
 // the resume machinery rest on for the extended fault models.
 func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, n int, seed uint64) {
@@ -71,13 +76,16 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 	if err != nil {
 		t.Fatalf("%s/%s solo: %v", v, m, err)
 	}
+	if solo.WarmStart == nil {
+		t.Fatalf("%s/%s: solo run declined the warm start", v, m)
+	}
 	var want bytes.Buffer
 	if err := WriteRecords(&want, solo.Records); err != nil {
 		t.Fatal(err)
 	}
 
-	// Explicitly disabled fast paths must change nothing: the model
-	// already declined them, and the decline must be total.
+	// Disabling the fast paths must change nothing: warm start and
+	// reconvergence are pure optimisations for every model.
 	disabled := base
 	disabled.DisableWarmStart = true
 	disabled.DisablePrune = true
@@ -90,7 +98,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: -no-prune/-no-warm-start run differs from the declined solo run", v, m)
+		t.Errorf("%s/%s: -no-prune/-no-warm-start run differs from the warm solo run", v, m)
 	}
 
 	// Sharded execution in a random partition, merged in shard order.

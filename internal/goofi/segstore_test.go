@@ -237,6 +237,41 @@ func TestRecordScannerMatchesReadRecords(t *testing.T) {
 	}
 }
 
+// TestRecordScannerOmittedFieldsDoNotLeak scans a file that mixes lines
+// with and without the omitempty fields (mechanism, model, width,
+// provenance): a line that omits them must decode with them zero, not
+// carry over the previous line's values.
+func TestRecordScannerOmittedFieldsDoNotLeak(t *testing.T) {
+	full := Record{ID: 0, Variant: "alg1", Region: "Registers", Element: "r3", Bit: 4, At: 100,
+		Outcome: "detected", Mechanism: "ACCESS CHECK", Model: "burst", Width: 3,
+		Provenance: "class-representative:2"}
+	bare := Record{ID: 1, Variant: "alg1", Region: "Cache", Element: "line0", Bit: 1, At: 200,
+		Outcome: "overwritten"}
+	partial := Record{ID: 2, Variant: "alg1", Region: "Registers", Element: "pc", Bit: 2, At: 300,
+		Outcome: "detected", Mechanism: "INSTRUCTION ERROR", Provenance: "simulated"}
+	recs := []Record{full, bare, partial, bare, full}
+	var buf bytes.Buffer
+	if err := WriteRecords(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewRecordScanner(bytes.NewReader(buf.Bytes()))
+	var got []Record
+	for sc.Scan() {
+		got = append(got, sc.Record())
+	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("scanned %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Errorf("line %d: scanned %+v, want %+v", i+1, got[i], recs[i])
+		}
+	}
+}
+
 func TestRecordScannerTornTail(t *testing.T) {
 	recs := segTestRecords(3)
 	var buf bytes.Buffer

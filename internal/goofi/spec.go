@@ -74,8 +74,8 @@ type CampaignSpec struct {
 	// Model selects the fault model ("" or "bitflip" = the paper's
 	// permanent single bit-flip; "pc", "transient", "burst" are the
 	// attack-style extensions — see inject.Models). Non-default models
-	// decline the prune and warm-start fast paths, whose golden-run
-	// analyses assume permanent single flips.
+	// decline the prune fast path, whose def-use analysis assumes
+	// permanent single flips; warm start applies to every model.
 	Model string `json:"model,omitempty"`
 
 	// BurstWidth is the adjacent-bit span of the burst model (0 =

@@ -117,6 +117,10 @@ func (s *RecordScanner) Scan() bool {
 		if len(b) == 0 {
 			continue
 		}
+		// Decode into a zero Record: Unmarshal leaves fields absent from
+		// the line untouched, so omitempty fields (mechanism, model,
+		// width, provenance) would otherwise leak from the previous line.
+		s.rec = Record{}
 		if uerr := json.Unmarshal(b, &s.rec); uerr != nil {
 			if s.lastDataLine() {
 				s.err = &TruncatedError{Line: s.line, Err: uerr}

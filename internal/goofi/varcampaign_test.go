@@ -21,12 +21,14 @@ func protectedFactory() func() control.Stateful {
 	}
 }
 
-func guardedFactory(extra core.Assertion) func() control.Stateful {
+func guardedFactory(extra func() core.Assertion) func() control.Stateful {
 	return func() control.Stateful {
 		cfg := control.PaperPIConfig(plant.DefaultSampleInterval)
 		assert := core.Assertion(core.RangeAssertion{Min: cfg.OutMin, Max: cfg.OutMax})
 		if extra != nil {
-			assert = core.All(assert, extra)
+			// A fresh extra assertion per controller: VarConfig.New must
+			// not share stateful assertions between runs.
+			assert = core.All(assert, extra())
 		}
 		g := core.NewGuard(control.NewPI(cfg), assert)
 		return core.NewGuardedController(g)
@@ -187,7 +189,7 @@ func TestVariableCampaignRateAssertion(t *testing.T) {
 	rangeOnly := severe(guardedFactory(nil))
 	// Legitimate per-iteration state change is bounded by
 	// T·Ki·e ≈ 3.9 degrees; 8 leaves safety margin.
-	withRate := severe(guardedFactory(core.NewRateAssertion(8)))
+	withRate := severe(guardedFactory(func() core.Assertion { return core.NewRateAssertion(8) }))
 
 	if withRate > rangeOnly {
 		t.Errorf("rate assertion increased severe count: %d -> %d", rangeOnly, withRate)

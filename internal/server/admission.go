@@ -137,13 +137,17 @@ func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 		return nil, &QuotaError{Tenant: ten.Name, Reason: fmt.Sprintf("%d outstanding experiments + %d requested (max %d)", u.QueuedExperiments, c.total, ten.MaxQueuedExperiments)}
 	}
 	c.ID = fmt.Sprintf("c%06d", m.nextID+1)
+	// Once pushed, a runner may start the job and update c.total (under
+	// c.mu), so read it for the charge and the journal entry before the
+	// job is visible.
+	total := c.total
 	if err := m.queue.Push(ten.Name, ten.FairWeight(), c); err != nil {
 		m.mu.Unlock()
 		metrics.RequestsShed.Add(1)
 		return nil, ErrQueueFull // shed without consuming an ID
 	}
 	m.nextID++
-	m.chargeUsageLocked(c)
+	m.chargeUsageLocked(c, total)
 	m.jobs[c.ID] = c
 	m.order = append(m.order, c.ID)
 	m.mu.Unlock()
@@ -151,7 +155,7 @@ func (m *Manager) enqueue(ten tenant.Tenant, c *Campaign) (*Campaign, error) {
 
 	e := journal.Entry{
 		Job: c.ID, Type: journal.EventSubmitted,
-		Kind: string(c.Kind), State: string(StateQueued), Total: c.total,
+		Kind: string(c.Kind), State: string(StateQueued), Total: total,
 		Tenant: c.Tenant,
 	}
 	if c.Kind == KindTune {
@@ -180,15 +184,17 @@ func (m *Manager) usageLocked(name string) *tenant.Usage {
 func (m *Manager) chargeUsage(c *Campaign) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.chargeUsageLocked(c)
+	m.chargeUsageLocked(c, c.total)
 }
 
-func (m *Manager) chargeUsageLocked(c *Campaign) {
+// chargeUsageLocked charges n experiments and one job; m.mu must be
+// held.
+func (m *Manager) chargeUsageLocked(c *Campaign, n int) {
 	if c.usageHeld {
 		return
 	}
 	c.usageHeld = true
-	c.usageN = c.total
+	c.usageN = n
 	u := m.usageLocked(c.Tenant)
 	u.QueuedJobs++
 	u.QueuedExperiments += c.usageN

@@ -124,7 +124,10 @@ func (m *Manager) serveFromCache(ten tenant.Tenant, c *Campaign) (bool, error) {
 	c.finished = time.Now()
 	c.cacheHit = true
 	c.done = len(recs)
-	c.records = recs
+	c.nRecords = len(recs)
+	if path == "" {
+		c.records = recs
+	}
 	c.outcomes = outcomes
 	c.dataPath = path
 	c.broadcastLocked(c.eventLocked(string(StateDone)))

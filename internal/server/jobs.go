@@ -101,12 +101,13 @@ type Campaign struct {
 	total      int
 	outcomes   map[string]int
 	errMsg     string
-	records    []goofi.Record
+	records    []goofi.Record // kept only while no canonical file holds them
+	nRecords   int            // record count of a terminal job, for View.Records
 	dataPath   string
 	segDir     string // live segmented record store (resume source)
 	cacheHit   bool   // served from the content-addressed result cache
-	resumed    bool // re-enqueued by journal recovery after a restart
-	userCancel bool // cancelled via the API, as opposed to a shutdown
+	resumed    bool   // re-enqueued by journal recovery after a restart
+	userCancel bool   // cancelled via the API, as opposed to a shutdown
 	faults     goofi.FaultStats
 	prune      *goofi.PruneStats
 	detect     *goofi.DetectStats
@@ -156,7 +157,7 @@ func (c *Campaign) Snapshot() View {
 		Done:        c.done,
 		Total:       c.total,
 		Outcomes:    copyCounts(c.outcomes),
-		Records:     len(c.records),
+		Records:     c.nRecords,
 		RecordsPath: c.dataPath,
 		Resumed:     c.resumed,
 		Faults:      c.faults,
@@ -175,49 +176,66 @@ func (c *Campaign) Snapshot() View {
 	return v
 }
 
-// Records returns the campaign's completed experiment records. For a
-// job restored from the journal after a restart, the records are loaded
-// lazily from its persisted JSONL file (tolerating a crash-torn tail).
+// Records returns the campaign's completed experiment records. Once a
+// job's canonical JSONL file is on disk the records live only there, so
+// finished jobs do not pin memory for the life of the process: each
+// call loads the file afresh (tolerating a crash-torn tail), or, before
+// the final rewrite, folds the segmented store. Jobs without a data
+// directory keep their records in memory.
 func (c *Campaign) Records() []goofi.Record {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.records == nil && c.Kind == KindCampaign {
-		switch {
-		case c.dataPath != "":
-			recs, err := goofi.LoadRecords(c.dataPath)
-			var trunc *goofi.TruncatedError
-			if err == nil || errors.As(err, &trunc) {
-				c.records = recs
-			}
-		case c.segDir != "":
-			// No canonical file yet (crash before the final rewrite):
-			// fold the partial run's segments instead.
-			if recs, err := goofi.LoadSegmentRecords(c.segDir); err == nil {
-				c.records = recs
-			}
+	if c.records != nil || c.Kind != KindCampaign {
+		recs := append([]goofi.Record(nil), c.records...)
+		c.mu.Unlock()
+		return recs
+	}
+	dataPath, segDir := c.dataPath, c.segDir
+	c.mu.Unlock()
+	var recs []goofi.Record
+	switch {
+	case dataPath != "":
+		loaded, err := goofi.LoadRecords(dataPath)
+		var trunc *goofi.TruncatedError
+		if err == nil || errors.As(err, &trunc) {
+			recs = loaded
+		}
+	case segDir != "":
+		// No canonical file yet (still running, or a crash before the
+		// final rewrite): fold the partial run's segments instead.
+		loaded, err := goofi.LoadSegmentRecords(segDir)
+		if err == nil {
+			recs = loaded
+		} else if c.segmentsRetired(segDir) {
+			return c.Records()
 		}
 	}
-	return append([]goofi.Record(nil), c.records...)
+	c.mu.Lock()
+	if c.state.Terminal() && c.nRecords == 0 {
+		// A job restored from the journal learns its count on first read.
+		c.nRecords = len(recs)
+	}
+	c.mu.Unlock()
+	return recs
 }
 
 // RecordPage returns records[offset : offset+limit] plus the total
-// count. Unlike Records it never materializes the full set for a
-// disk-backed campaign: the canonical file is scanned record-by-record
-// through a RecordScanner, and a segmented store pages through only
-// the segments the window intersects.
+// count. It never materializes the full set: in-memory records are
+// sliced under the lock, the canonical file is scanned record-by-record
+// through a RecordScanner, and a segmented store pages through only the
+// segments the window intersects.
 func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 	c.mu.Lock()
-	inMemory := c.records != nil || c.Kind != KindCampaign
+	if c.records != nil || c.Kind != KindCampaign {
+		total := len(c.records)
+		lo := min(offset, total)
+		hi := min(lo+limit, total)
+		page := append([]goofi.Record(nil), c.records[lo:hi]...)
+		c.mu.Unlock()
+		return page, total, nil
+	}
 	dataPath := c.dataPath
 	segDir := c.segDir
 	c.mu.Unlock()
-	if inMemory {
-		recs := c.Records()
-		total := len(recs)
-		lo := min(offset, total)
-		hi := min(lo+limit, total)
-		return recs[lo:hi:hi], total, nil
-	}
 	if dataPath != "" {
 		f, err := os.Open(dataPath)
 		if err == nil {
@@ -239,9 +257,22 @@ func (c *Campaign) RecordPage(offset, limit int) ([]goofi.Record, int, error) {
 		}
 	}
 	if segDir != "" {
-		return goofi.SegmentPage(segDir, offset, limit)
+		page, total, err := goofi.SegmentPage(segDir, offset, limit)
+		if err != nil && c.segmentsRetired(segDir) {
+			return c.RecordPage(offset, limit)
+		}
+		return page, total, err
 	}
 	return nil, 0, nil
+}
+
+// segmentsRetired reports whether segDir, read without the lock, has
+// since been replaced by the canonical file (the final rewrite removes
+// it), so a failed read of it should be retried against the new layout.
+func (c *Campaign) segmentsRetired(segDir string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.segDir != segDir
 }
 
 // Subscribe registers a progress listener. The returned channel
@@ -936,11 +967,14 @@ func (m *Manager) execute(c *Campaign) {
 			}
 		} else if runErr == nil {
 			// The canonical file now holds everything the segments do:
-			// drop them, and memoize the result for duplicate specs.
-			os.RemoveAll(filepath.Join(m.dataDir, c.ID+".records"))
+			// publish it, drop them, and memoize the result for
+			// duplicate specs. Publishing first means a reader always
+			// finds one of the two layouts.
 			c.mu.Lock()
+			c.dataPath = path
 			c.segDir = ""
 			c.mu.Unlock()
+			os.RemoveAll(filepath.Join(m.dataDir, c.ID+".records"))
 			m.cachePutFile(c, faults, path)
 		}
 	} else if len(recs) == 0 {
@@ -998,7 +1032,11 @@ func (m *Manager) finalize(c *Campaign, recs []goofi.Record, faults goofi.FaultS
 		return
 	}
 	wasQueued := c.state == StateQueued
-	c.records = recs
+	c.nRecords = len(recs)
+	c.records = nil
+	if dataPath == "" {
+		c.records = recs
+	}
 	c.dataPath = dataPath
 	c.faults = faults
 	c.finished = time.Now()

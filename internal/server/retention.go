@@ -105,6 +105,7 @@ func (m *Manager) reclaim(r retainable) {
 	r.c.mu.Lock()
 	r.c.dataPath = ""
 	r.c.segDir = ""
+	r.c.nRecords = 0
 	r.c.mu.Unlock()
 	if r.dataPath != "" {
 		if err := os.Remove(r.dataPath); err != nil && !os.IsNotExist(err) {
