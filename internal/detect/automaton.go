@@ -226,6 +226,26 @@ func (c *Checker) Check(v []float64) string {
 	return ""
 }
 
+// Clone returns an independent checker with the same history; the
+// history vector is copied, since Check reuses its backing array.
+func (c *Checker) Clone() *Checker {
+	return &Checker{a: c.a, prev: append([]float64(nil), c.prev...), seeded: c.seeded}
+}
+
+// Digest summarises the history the next Check depends on: whether it
+// is seeded and the previous accepted vector.
+func (c *Checker) Digest() uint64 {
+	h := uint64(len(c.prev)) << 1
+	if c.seeded {
+		h |= 1
+	}
+	h = digestMix(digestSeed, h)
+	for _, v := range c.prev {
+		h = digestMix(h, math.Float64bits(v))
+	}
+	return h
+}
+
 // Violations counts how many vectors of a series the automaton rejects
 // (each vector checked with a shared history; rejections do not advance
 // it). Validating the mined series itself measures the false-positive

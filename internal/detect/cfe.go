@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ctrlguard/internal/cpu"
+	"ctrlguard/internal/workload"
 )
 
 // CFMonitor is the runtime half of signature monitoring: it watches
@@ -79,6 +80,19 @@ func (m *CFMonitor) OnInstr(_ int, _ uint64, vm *cpu.CPU) *cpu.TrapError {
 // purely per-instruction.
 func (m *CFMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError {
 	return nil
+}
+
+// Clone implements workload.Monitor; the copy shares the read-only
+// graph.
+func (m *CFMonitor) Clone() workload.Monitor {
+	c := *m
+	return &c
+}
+
+// Digest implements workload.Monitor: the previous instruction and the
+// running block signature. Entries is a statistic and stays out.
+func (m *CFMonitor) Digest() uint64 {
+	return digestMix(digestMix(digestSeed, uint64(int64(m.prev))), uint64(m.runSig))
 }
 
 func (m *CFMonitor) enter(vm *cpu.CPU, idx int) {

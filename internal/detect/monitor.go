@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ctrlguard/internal/cpu"
+	"ctrlguard/internal/workload"
 )
 
 // The per-iteration state vector the automaton family observes on the
@@ -23,6 +24,24 @@ func StateAddrs(prog *cpu.Program) []uint32 {
 		}
 	}
 	return addrs
+}
+
+var (
+	_ workload.Monitor = (*CFMonitor)(nil)
+	_ workload.Monitor = (*AutomatonMonitor)(nil)
+	_ workload.Monitor = (*Collector)(nil)
+	_ workload.Monitor = Stack(nil)
+)
+
+// digestSeed starts every monitor digest.
+const digestSeed = 0x9e3779b97f4a7c15
+
+// digestMix folds the word v into the running digest h. Each step is a
+// bijection of h for fixed v and of v for fixed h, so two states that
+// differ in exactly one word always digest differently.
+func digestMix(h, v uint64) uint64 {
+	h = (h ^ v) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
 
 // peekVector reads the state doubles at addrs without perturbing the
@@ -59,6 +78,23 @@ func (c *Collector) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 	return nil
 }
 
+// Clone implements workload.Monitor. Collected rows are never written
+// after they are appended, so the copy shares them.
+func (c *Collector) Clone() workload.Monitor {
+	return &Collector{addrs: c.addrs, Series: append([][]float64(nil), c.Series...)}
+}
+
+// Digest implements workload.Monitor: the series collected so far.
+func (c *Collector) Digest() uint64 {
+	h := digestMix(digestSeed, uint64(len(c.Series)))
+	for _, row := range c.Series {
+		for _, v := range row {
+			h = digestMix(h, math.Float64bits(v))
+		}
+	}
+	return h
+}
+
 // AutomatonMonitor evaluates a mined automaton in-loop: at every
 // iteration boundary it reads the state doubles and validates the
 // vector against the automaton; a violation traps with
@@ -91,11 +127,19 @@ func (m *AutomatonMonitor) OnIteration(_ int, vm *cpu.CPU) *cpu.TrapError {
 	return nil
 }
 
-// Stack combines monitors: the first non-nil trap wins, in order.
-type Stack []interface {
-	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
-	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
+// Clone implements workload.Monitor; the copy shares the read-only
+// automaton and state addresses.
+func (m *AutomatonMonitor) Clone() workload.Monitor {
+	return &AutomatonMonitor{addrs: m.addrs, checker: m.checker.Clone()}
 }
+
+// Digest implements workload.Monitor: the checker's history.
+func (m *AutomatonMonitor) Digest() uint64 {
+	return m.checker.Digest()
+}
+
+// Stack combines monitors: the first non-nil trap wins, in order.
+type Stack []workload.Monitor
 
 // OnInstr implements workload.Monitor.
 func (s Stack) OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
@@ -115,4 +159,23 @@ func (s Stack) OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError {
 		}
 	}
 	return nil
+}
+
+// Clone implements workload.Monitor, cloning every member.
+func (s Stack) Clone() workload.Monitor {
+	c := make(Stack, len(s))
+	for i, m := range s {
+		c[i] = m.Clone()
+	}
+	return c
+}
+
+// Digest implements workload.Monitor, folding the members' digests in
+// order.
+func (s Stack) Digest() uint64 {
+	h := digestMix(digestSeed, uint64(len(s)))
+	for _, m := range s {
+		h = digestMix(h, m.Digest())
+	}
+	return h
 }

@@ -53,14 +53,11 @@ func withChaos(task ShardTask, allow bool, emit func(Event)) func(Event) {
 }
 
 // ServeShard is the executor-side main loop shared by every transport
-// host (ctrlexec's stdin mode and the HTTP ShardHandler): keep-alive
-// beats while the engine works, the shard run itself, and a terminal
-// error event when it fails. Calls to emit are serialised by the
-// transports' encoders; chaos knobs apply only when allowChaos is set.
+// host (ctrlexec's stdin mode and the HTTP ShardHandler): the shard run
+// itself, keep-alive beats included, and a terminal error event when it
+// fails. Chaos knobs apply only when allowChaos is set.
 func ServeShard(ctx context.Context, task ShardTask, allowChaos bool, emit func(Event)) error {
 	emit = withChaos(task, allowChaos, emit)
-	stop := keepAlive(ctx, task.Shard, emit)
-	defer stop()
 	if err := RunShard(ctx, task, emit); err != nil {
 		emit(Event{Type: EventError, Shard: task.Shard, Error: err.Error()})
 		return err

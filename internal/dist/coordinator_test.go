@@ -229,10 +229,9 @@ func TestCoordinatorLeaseExpiryReLeases(t *testing.T) {
 	spec := goofi.CampaignSpec{Variant: "alg1", Experiments: 40, Seed: 9}
 	want := soloBytes(t, spec)
 
-	// Records are the only heartbeats, and a healthy re-lease can go a
-	// few hundred milliseconds between them under the race detector on
-	// a small machine (lockstep lanes finish together), so the TTL
-	// leaves a wide margin over that gap.
+	// The re-leased run beats every 500 ms on top of its records, but a
+	// beat can still lag under the race detector on a small machine, so
+	// the TTL leaves a wide margin over that gap.
 	const ttl = 2 * time.Second
 	start := time.Now()
 	res, err := Run(context.Background(), spec, []Executor{wedgingExecutor{}}, Options{

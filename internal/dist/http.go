@@ -10,7 +10,6 @@ import (
 	"log"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // HTTP is the remote Executor transport: the task is POSTed to a
@@ -152,28 +151,4 @@ func ShardHandler(logger *log.Logger, allowChaos bool) http.Handler {
 		}
 		logger.Printf("shard %d done", task.Shard)
 	})
-}
-
-// keepAlive emits periodic beat events until stopped, covering the
-// stretches when the engine is working but no record completes (the
-// golden run, a long experiment): the lease must not expire on an
-// executor that is merely busy. Returns a stop function.
-func keepAlive(ctx context.Context, shard int, emit func(Event)) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(500 * time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				emit(Event{Type: EventBeat, Shard: shard})
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -136,8 +136,9 @@ type Config struct {
 
 	// Detect arms in-loop detectors (signature monitoring and/or a
 	// behavior-derived automaton mined from this campaign's golden run)
-	// on every experiment. Armed campaigns decline prune and warm-start
-	// too: both fast paths skip instructions the detectors must see.
+	// on every experiment. Armed campaigns decline prune, whose verdicts
+	// ignore the detectors, and lockstep; they take the warm start, whose
+	// checkpoints and reconvergence test carry the detectors' state.
 	Detect detect.Spec
 
 	// CheckpointCap bounds the per-campaign checkpoint cache
@@ -211,7 +212,7 @@ type Result struct {
 
 	// WarmStart reports the checkpoint fast path's work avoidance;
 	// nil when the fast path was disabled or declined (detail-mode
-	// observers, armed detectors).
+	// observers, or detectors that reject the fault-free run).
 	WarmStart *WarmStartStats
 
 	// Prune reports the fault-space pruner's work avoidance; nil when
@@ -288,17 +289,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// (prune.SupportsModel). Detail-mode observers must see every
 	// instruction of every run, so they force full replays and disable
 	// both fast paths; trace mode simulates every selected experiment in
-	// detail, so it declines pruning too. Armed detectors decline both:
-	// the checkpoint and golden-splice shortcuts skip instructions a
-	// detector must see, so declining runs everything fully simulated
-	// instead of silently misclassifying.
+	// detail, so it declines pruning too. Armed detectors decline
+	// pruning, whose verdicts know nothing of them, but take the warm
+	// start: checkpoints freeze the monitors' state next to the
+	// machine's, and the golden reference is recorded under the
+	// experiment stack, so reconvergence means equal machine and equal
+	// monitor state.
 	detectOn := cfg.Detect.Enabled()
 	if cfg.Trace != nil && detectOn {
 		return nil, fmt.Errorf("goofi: trace mode does not support detector campaigns (the detail-mode replay cannot arm monitors)")
 	}
 	warm := cfg.warm
 	prn := cfg.prune
-	useWarm := !cfg.DisableWarmStart && cfg.Spec.Observer == nil && !detectOn
+	useWarm := !cfg.DisableWarmStart && cfg.Spec.Observer == nil
 	usePrune := !cfg.DisablePrune && cfg.Spec.Observer == nil && cfg.Trace == nil &&
 		prune.SupportsModel(string(cfg.Model)) && !detectOn
 
@@ -315,7 +318,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	det := cfg.det
 	if detectOn && det == nil {
 		var err error
-		if det, err = newDetectState(prog, cfg); err != nil {
+		if det, err = newDetectState(prog, cfg, useWarm); err != nil {
 			return nil, err
 		}
 	}
@@ -324,6 +327,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	var golden *workload.Outcome
 	if det != nil {
 		golden = det.golden
+		if useWarm && warm == nil && det.hashed != nil {
+			warm = newWarmState(prog, cfg.Spec, det.hashed, cfg.CheckpointCap,
+				func() workload.Monitor { return det.newMonitor(prog) })
+		}
 	} else if warm != nil {
 		golden = warm.golden
 	} else {
@@ -339,7 +346,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("goofi: reference execution trapped: %v", golden.Trap)
 		}
 		if useWarm {
-			warm = newWarmState(prog, cfg.Spec, golden, cfg.CheckpointCap)
+			warm = newWarmState(prog, cfg.Spec, golden, cfg.CheckpointCap, nil)
 		}
 		if capture != nil {
 			// A nil index means the capture saw something it could not

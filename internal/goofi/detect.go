@@ -13,7 +13,9 @@ import (
 // (signature monitoring enforcing, the automaton family collecting the
 // state series it then mines), and arms a fresh monitor stack on every
 // experiment. Detector verdicts arrive as cpu.TrapError with the
-// detect mechanisms and classify as detections like any EDM trap.
+// detect mechanisms and classify as detections like any EDM trap. For
+// the warm start it records the golden run once more under the
+// experiment stack, with state hashes that fold in the monitors' state.
 
 // DetectStats reports a campaign's detector configuration and results.
 type DetectStats struct {
@@ -53,14 +55,20 @@ type detectState struct {
 	automaton *detect.Automaton
 	golden    *workload.Outcome
 	stats     DetectStats
+
+	// hashed is the golden run under the experiment monitor stack with
+	// RecordStateHashes: the warm-start reference of the campaign. nil
+	// when warm start is off or the stack trapped the fault-free run.
+	hashed *workload.Outcome
 }
 
 // newDetectState runs the monitored golden execution and prepares the
 // per-experiment detector factories. The golden run must be clean under
 // the armed detectors: a signature-monitor trap on the fault-free
 // reference means the block graph disagrees with the real control flow
-// — a bug, not a detection — and fails the campaign loudly.
-func newDetectState(prog *cpu.Program, cfg Config) (*detectState, error) {
+// — a bug, not a detection — and fails the campaign loudly. With warm
+// set it also records the hashed golden run under the experiment stack.
+func newDetectState(prog *cpu.Program, cfg Config, warm bool) (*detectState, error) {
 	d := &detectState{spec: cfg.Detect}
 	var stack detect.Stack
 	var cf *detect.CFMonitor
@@ -94,6 +102,17 @@ func newDetectState(prog *cpu.Program, cfg Config) (*detectState, error) {
 		d.stats.FalsePositives = d.automaton.Violations(coll.Series)
 		d.stats.Overhead += detect.AutomatonOverhead(
 			len(d.automaton.Elems), len(coll.Series), golden.Instructions)
+	}
+
+	if warm {
+		hashedSpec := cfg.Spec
+		hashedSpec.Monitor = d.newMonitor(prog)
+		hashedSpec.RecordStateHashes = true
+		// A stack that rejects the fault-free run cannot vouch for a
+		// reconvergence; such campaigns decline the warm start.
+		if h := workload.Run(prog, hashedSpec); !h.Detected() {
+			d.hashed = h
+		}
 	}
 	return d, nil
 }

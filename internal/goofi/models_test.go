@@ -63,21 +63,28 @@ func TestDefaultModelRecordsUnstamped(t *testing.T) {
 	}
 }
 
+// detectorSpecs are the detector arms the cross-validation draws from.
+var detectorSpecs = []detect.Spec{
+	{}, {CFE: true}, {Automaton: true}, {CFE: true, Automaton: true},
+}
+
 // modelIdentityCheck runs one campaign three ways — solo on the warm
 // path, with warm-start/pruning explicitly disabled, and as a random
 // shard partition merged in order — and requires byte-identical record
 // files.
 // This is the cross-validation property the distributed coordinator and
-// the resume machinery rest on for the extended fault models.
-func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, n int, seed uint64) {
+// the resume machinery rest on for the extended fault models and for
+// detector campaigns, whose warm start resumes and reconverges the
+// monitors along with the machine.
+func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inject.FaultModel, det detect.Spec, n int, seed uint64) {
 	t.Helper()
-	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m}
+	base := Config{Variant: v, Experiments: n, Seed: seed, Model: m, Detect: det}
 	solo, err := Run(base)
 	if err != nil {
-		t.Fatalf("%s/%s solo: %v", v, m, err)
+		t.Fatalf("%s/%s/%s solo: %v", v, m, det, err)
 	}
 	if solo.WarmStart == nil {
-		t.Fatalf("%s/%s: solo run declined the warm start", v, m)
+		t.Fatalf("%s/%s/%s: solo run declined the warm start", v, m, det)
 	}
 	var want bytes.Buffer
 	if err := WriteRecords(&want, solo.Records); err != nil {
@@ -91,14 +98,14 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 	disabled.DisablePrune = true
 	plain, err := Run(disabled)
 	if err != nil {
-		t.Fatalf("%s/%s disabled: %v", v, m, err)
+		t.Fatalf("%s/%s/%s disabled: %v", v, m, det, err)
 	}
 	var got bytes.Buffer
 	if err := WriteRecords(&got, plain.Records); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: -no-prune/-no-warm-start run differs from the warm solo run", v, m)
+		t.Errorf("%s/%s/%s: -no-prune/-no-warm-start run differs from the warm solo run", v, m, det)
 	}
 
 	// Sharded execution in a random partition, merged in shard order.
@@ -109,7 +116,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		cfg.Shard = &Shard{Start: sh.Start, End: sh.End}
 		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s/%s shard %+v: %v", v, m, sh, err)
+			t.Fatalf("%s/%s/%s shard %+v: %v", v, m, det, sh, err)
 		}
 		merged = append(merged, res.Records...)
 	}
@@ -117,7 +124,7 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("%s/%s: sharded merge differs from solo run", v, m)
+		t.Errorf("%s/%s/%s: sharded merge differs from solo run", v, m, det)
 	}
 }
 
@@ -126,14 +133,20 @@ func modelIdentityCheck(t *testing.T, rng *rand.Rand, v workload.Variant, m inje
 func TestModelShardMergeByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(8822))
 	for _, m := range nonDefaultModels {
-		modelIdentityCheck(t, rng, workload.AlgorithmI, m, 48, 321)
+		modelIdentityCheck(t, rng, workload.AlgorithmI, m, detect.Spec{}, 48, 321)
+	}
+	both := detect.Spec{CFE: true, Automaton: true}
+	for _, m := range []inject.FaultModel{workload.ModelBitFlip, workload.ModelPC} {
+		modelIdentityCheck(t, rng, workload.AlgorithmI, m, both, 48, 321)
 	}
 }
 
 // TestModelCrossVal is the randomized cross-validation job: CI sets
 // MODEL_CROSSVAL_TRIALS (and optionally MODEL_CROSSVAL_SEED) to sweep
-// random (variant, model, n, seed) points; locally it defaults to a
-// handful of trials.
+// random (variant, detector, model, n, seed) points; locally it
+// defaults to a handful of trials. The default bit-flip model is drawn
+// only with a detector armed, where it declines the pruner and runs on
+// the warm start like the extended models.
 func TestModelCrossVal(t *testing.T) {
 	trials := 3
 	if s := os.Getenv("MODEL_CROSSVAL_TRIALS"); s != "" {
@@ -155,18 +168,23 @@ func TestModelCrossVal(t *testing.T) {
 	variants := workload.Variants()
 	for i := 0; i < trials; i++ {
 		v := variants[rng.Intn(len(variants))]
-		m := nonDefaultModels[rng.Intn(len(nonDefaultModels))]
+		det := detectorSpecs[rng.Intn(len(detectorSpecs))]
+		models := nonDefaultModels
+		if det.Enabled() {
+			models = append([]inject.FaultModel{workload.ModelBitFlip}, nonDefaultModels...)
+		}
+		m := models[rng.Intn(len(models))]
 		n := 20 + rng.Intn(40)
 		campaignSeed := rng.Uint64()
-		t.Logf("trial %d: %s/%s n=%d seed=%d", i, v, m, n, campaignSeed)
-		modelIdentityCheck(t, rng, v, m, n, campaignSeed)
+		t.Logf("trial %d: %s/%s/%s n=%d seed=%d", i, v, det, m, n, campaignSeed)
+		modelIdentityCheck(t, rng, v, m, det, n, campaignSeed)
 	}
 }
 
 // TestDetectorCampaign pins the detector integration end to end: a
 // PC-model campaign with both families armed classifies some faults as
-// detector catches, reports verdict counts, and stamps the model on
-// every record.
+// detector catches, reports verdict counts, and takes the warm start
+// while declining prune and lockstep.
 func TestDetectorCampaign(t *testing.T) {
 	res, err := Run(Config{Variant: workload.AlgorithmI, Experiments: 200, Seed: 9,
 		Model: workload.ModelPC, Detect: detect.Spec{CFE: true, Automaton: true}})
@@ -188,8 +206,11 @@ func TestDetectorCampaign(t *testing.T) {
 		t.Errorf("TallyDetect (%d, %d) disagrees with stats (%d, %d)",
 			cfe, auto, d.CFEDetected, d.AutomatonDetected)
 	}
-	if res.Prune != nil || res.WarmStart != nil {
-		t.Error("fast paths ran with detectors armed")
+	if res.WarmStart == nil {
+		t.Error("warm start declined with detectors armed")
+	}
+	if res.Prune != nil || res.Lockstep != nil {
+		t.Error("prune or lockstep ran with detectors armed")
 	}
 }
 

@@ -84,8 +84,9 @@ type CampaignSpec struct {
 
 	// Detector arms in-loop detectors for every experiment: "cfe",
 	// "automaton", or "cfe+automaton" (see detect.Families). Armed
-	// campaigns decline prune and warm-start: both fast paths skip
-	// instructions the detectors must see.
+	// campaigns decline prune and lockstep but take the warm start,
+	// whose checkpoints and reconvergence test carry the detectors'
+	// state.
 	Detector string `json:"detector,omitempty"`
 }
 

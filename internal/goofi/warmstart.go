@@ -69,6 +69,11 @@ type warmState struct {
 	spec   workload.RunSpec
 	golden *workload.Outcome
 
+	// newMonitor, when non-nil, builds the fresh monitor every capture
+	// runs under, so checkpoints carry the monitor state that monitored
+	// experiments resume with.
+	newMonitor func() workload.Monitor
+
 	mu      sync.Mutex
 	clock   uint64
 	cap     int
@@ -83,16 +88,17 @@ type warmState struct {
 	skipped     atomic.Uint64
 }
 
-func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Outcome, cap int) *warmState {
+func newWarmState(prog *cpu.Program, spec workload.RunSpec, golden *workload.Outcome, cap int, newMonitor func() workload.Monitor) *warmState {
 	if cap <= 0 {
 		cap = DefaultCheckpointCap
 	}
 	return &warmState{
-		prog:    prog,
-		spec:    spec,
-		golden:  golden,
-		cap:     cap,
-		entries: make(map[int]*ckptEntry),
+		prog:       prog,
+		spec:       spec,
+		golden:     golden,
+		newMonitor: newMonitor,
+		cap:        cap,
+		entries:    make(map[int]*ckptEntry),
 	}
 }
 
@@ -144,6 +150,9 @@ func (w *warmState) get(k int) *workload.Checkpoint {
 
 	spec := w.spec
 	spec.From = from
+	if w.newMonitor != nil {
+		spec.Monitor = w.newMonitor()
+	}
 	// Capture failures (an environment that cannot be cloned) leave
 	// e.ck nil: every experiment at this iteration falls back to full
 	// replay, preserving correctness.

@@ -142,7 +142,7 @@ func TestWarmStateIterationZeroFallsBack(t *testing.T) {
 	goldenSpec.RecordStateHashes = true
 	golden := workload.Run(prog, goldenSpec)
 
-	w := newWarmState(prog, spec, golden, 0)
+	w := newWarmState(prog, spec, golden, 0, nil)
 	if ck := w.checkpointFor(0); ck != nil {
 		t.Error("instruction 0 yielded a checkpoint")
 	}
@@ -169,7 +169,7 @@ func TestCheckpointCacheConcurrent(t *testing.T) {
 	goldenSpec.RecordStateHashes = true
 	golden := workload.Run(prog, goldenSpec)
 
-	w := newWarmState(prog, spec, golden, 4)
+	w := newWarmState(prog, spec, golden, 4, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

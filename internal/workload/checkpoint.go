@@ -8,7 +8,8 @@ import (
 
 // Checkpoint is a frozen harness run at a control-iteration boundary:
 // the complete machine state (cpu.Snapshot), the environment simulator,
-// the I/O window's output latches and the outcome accumulated so far.
+// the I/O window's output latches, the outcome accumulated so far and,
+// when the run was monitored, the monitor's state.
 // A checkpoint is immutable once captured — resuming deep-copies every
 // part — so one checkpoint can seed many concurrent runs, which is how
 // the campaign engine amortises the pre-injection prefix across all
@@ -22,6 +23,7 @@ type Checkpoint struct {
 	outLo     []uint32
 	outputs   [][]float64 // per-port outputs of iterations [0, iteration)
 	starts    []uint64    // iteration start instruction counts
+	monitor   Monitor     // frozen clone of the run's monitor, or nil
 }
 
 // CloneableEnv is implemented by environment simulators that can be
@@ -55,7 +57,9 @@ func (c *Checkpoint) Instructions() uint64 {
 // from. It fails when k is not reachable (non-positive, beyond the run
 // length, a trap fires first) or when the environment does not support
 // cloning. spec.Injection is ignored: checkpoints are always taken on
-// the fault-free path.
+// the fault-free path. With spec.Monitor set the monitor runs over the
+// captured prefix and the checkpoint freezes a clone of it; only such
+// checkpoints can resume monitored runs.
 func CaptureCheckpoint(prog *cpu.Program, spec RunSpec, k int) (*Checkpoint, error) {
 	spec.Injection = nil
 	spec.Golden = nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -276,4 +277,192 @@ func TestRecordStateHashesDisablesResume(t *testing.T) {
 			t.Fatalf("StateHashes[%d] differs", i)
 		}
 	}
+}
+
+// probeMonitor latches register reg as it stands before instruction at
+// and traps at the end of iteration trapAt unless the latched value is
+// want: a verdict that depends on state seen long before it fires, and
+// that a monitor restarted mid-run would get wrong.
+type probeMonitor struct {
+	at     uint64
+	reg    int
+	want   uint32
+	trapAt int
+	seen   uint32
+}
+
+func (m *probeMonitor) OnInstr(_ int, instr uint64, vm *cpu.CPU) *cpu.TrapError {
+	if instr == m.at {
+		m.seen = vm.Regs[m.reg]
+	}
+	return nil
+}
+
+func (m *probeMonitor) OnIteration(k int, _ *cpu.CPU) *cpu.TrapError {
+	if k == m.trapAt && m.seen != m.want {
+		return &cpu.TrapError{Mech: cpu.MechConstraint, Info: "probe"}
+	}
+	return nil
+}
+
+func (m *probeMonitor) Clone() Monitor { c := *m; return &c }
+func (m *probeMonitor) Digest() uint64 { return uint64(m.seen) }
+
+// probeValue returns register reg's fault-free value before instruction
+// at.
+func probeValue(prog *cpu.Program, spec RunSpec, at uint64, reg int) uint32 {
+	p := &probeMonitor{at: at, reg: reg, trapAt: -1}
+	spec.Monitor = p
+	Run(prog, spec)
+	return p.seen
+}
+
+// nonZeroReg returns the first register that holds a non-zero value
+// before instruction at of the fault-free run.
+func nonZeroReg(t *testing.T, prog *cpu.Program, spec RunSpec, at uint64) int {
+	t.Helper()
+	for reg := 1; reg < 16; reg++ {
+		if probeValue(prog, spec, at, reg) != 0 {
+			return reg
+		}
+	}
+	t.Fatal("every register is zero at the probe point")
+	return 0
+}
+
+// TestMonitoredResumeByteIdentical pins that a monitored run resumed
+// from a monitored checkpoint continues with the monitor's state at the
+// checkpoint: the probe latches a non-zero register before the
+// checkpoint and traps after it, so a resume with a fresh monitor
+// (seen = 0 = want) would not trap.
+func TestMonitoredResumeByteIdentical(t *testing.T) {
+	prog := Program(AlgorithmI)
+	spec := shortSpec()
+	golden := Run(prog, spec)
+	at := golden.IterationStarts[10] + 3
+	reg := nonZeroReg(t, prog, spec, at)
+	probe := func() Monitor { return &probeMonitor{at: at, reg: reg, trapAt: 70} }
+
+	monitored := spec
+	monitored.Monitor = probe()
+	want := Run(prog, monitored)
+	if want.Trap == nil || want.TrapIteration != 70 {
+		t.Fatalf("full monitored run: trap %v at %d, want the probe at 70", want.Trap, want.TrapIteration)
+	}
+
+	capSpec := spec
+	capSpec.Monitor = probe()
+	ck, err := CaptureCheckpoint(prog, capSpec, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := spec
+	fast.From = ck
+	fast.Monitor = probe()
+	got := Run(prog, fast)
+	outcomesIdentical(t, "monitored resume", got, want)
+	if got.Trap == nil || got.Trap.Info != "probe" {
+		t.Errorf("monitored resume: trap %v, want the probe", got.Trap)
+	}
+
+	// Injected resumes reproduce injected full monitored runs.
+	for _, inj := range injections(golden, 40) {
+		inj := inj
+		full := monitored
+		full.Monitor = probe()
+		full.Injection = &inj
+		wantInj := Run(prog, full)
+
+		warm := fast
+		warm.Monitor = probe()
+		warm.Injection = &inj
+		outcomesIdentical(t, "monitored "+inj.Bit.String(), Run(prog, warm), wantInj)
+	}
+}
+
+// TestUnmonitoredCheckpointIgnoredByMonitoredRun pins that a checkpoint
+// captured without a monitor carries no monitor state, so a monitored
+// run does a full replay instead of resuming with a fresh monitor.
+func TestUnmonitoredCheckpointIgnoredByMonitoredRun(t *testing.T) {
+	prog := Program(AlgorithmI)
+	spec := shortSpec()
+	golden := Run(prog, spec)
+	at := golden.IterationStarts[10] + 3
+	reg := nonZeroReg(t, prog, spec, at)
+	monitored := spec
+	monitored.Monitor = &probeMonitor{at: at, reg: reg, trapAt: 70}
+	want := Run(prog, monitored)
+
+	ck, err := CaptureCheckpoint(prog, spec, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := spec
+	fast.From = ck
+	fast.Monitor = &probeMonitor{at: at, reg: reg, trapAt: 70}
+	outcomesIdentical(t, "unmonitored checkpoint", Run(prog, fast), want)
+}
+
+// TestMonitoredGoldenEarlyExitNeedsEqualMonitorState pins that golden
+// reconvergence compares the monitor's state along with the machine's:
+// a transient register glitch the machine shrugs off still leaves the
+// probe holding a value the golden probe never saw, so the run must not
+// splice the trap-free golden remainder.
+func TestMonitoredGoldenEarlyExitNeedsEqualMonitorState(t *testing.T) {
+	prog := Program(AlgorithmI)
+	spec := shortSpec()
+	hashed := spec
+	hashed.RecordStateHashes = true
+	plainGolden := Run(prog, hashed)
+	at := plainGolden.IterationStarts[30] + 5
+
+	// Find a register whose transient glitch at the probe point the
+	// machine masks: the unmonitored run reconverges with its golden run.
+	var inj Injection
+	reg := 1
+	for ; reg < 16; reg++ {
+		inj = Injection{At: at, Model: ModelTransient,
+			Bit: cpu.StateBit{Region: cpu.RegionRegisters, Element: fmt.Sprintf("r%d", reg), Bit: 0}}
+		run := spec
+		run.Injection = &inj
+		run.Golden = plainGolden
+		if Run(prog, run).ReconvergedAt != 0 {
+			break
+		}
+	}
+	if reg == 16 {
+		t.Fatal("no register glitch at the probe point reconverges")
+	}
+	g := probeValue(prog, spec, at, reg)
+	probe := func() Monitor { return &probeMonitor{at: at, reg: reg, want: g, trapAt: 100} }
+
+	goldenSpec := hashed
+	goldenSpec.Monitor = probe()
+	golden := Run(prog, goldenSpec)
+	if golden.Trap != nil {
+		t.Fatalf("monitored golden run trapped: %v", golden.Trap)
+	}
+
+	full := spec
+	full.Injection = &inj
+	full.Monitor = probe()
+	want := Run(prog, full)
+	if want.Trap == nil || want.TrapIteration != 100 {
+		t.Fatalf("full monitored run: trap %v at %d, want the probe at 100", want.Trap, want.TrapIteration)
+	}
+
+	fast := full
+	fast.Monitor = probe()
+	fast.Golden = golden
+	got := Run(prog, fast)
+	outcomesIdentical(t, "monitored golden", got, want)
+	if got.ReconvergedAt != 0 {
+		t.Errorf("spliced at %d although the monitor state differs from the golden run's", got.ReconvergedAt)
+	}
+
+	// A golden run recorded without the monitor is no reference for a
+	// monitored run.
+	fast.Monitor = probe()
+	fast.Golden = plainGolden
+	outcomesIdentical(t, "unmonitored golden", Run(prog, fast), want)
 }

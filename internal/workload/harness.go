@@ -41,11 +41,27 @@ type Injection struct {
 // OnIteration after each control iteration's outputs are delivered. A
 // non-nil trap terminates the run exactly like a CPU EDM firing —
 // detectors report through the same trap plumbing the campaigns
-// already classify. Monitors disable the From/Golden fast paths, which
-// must not skip instructions a detector needs to see.
+// already classify.
+//
+// A monitor's verdicts may depend only on its arguments and on its own
+// state, which Clone copies and Digest summarises. That is
+// what lets monitored runs take the From and Golden fast paths: a
+// checkpoint freezes a clone of the monitor next to the machine, and
+// the golden re-convergence test compares the monitor's digest along
+// with the machine's, so a skipped prefix or a spliced remainder is
+// exactly what the monitor would have seen.
 type Monitor interface {
 	OnInstr(iteration int, instr uint64, vm *cpu.CPU) *cpu.TrapError
 	OnIteration(iteration int, vm *cpu.CPU) *cpu.TrapError
+
+	// Clone returns an independent copy with the same state; the two
+	// must not share anything either of them mutates.
+	Clone() Monitor
+
+	// Digest summarises the state that decides future verdicts. Equal
+	// digests must mean equal behaviour from here on; statistics that
+	// never influence a verdict stay out of it.
+	Digest() uint64
 }
 
 // RunSpec configures one execution of a workload program against its
@@ -78,9 +94,11 @@ type RunSpec struct {
 	// analysis. It slows the run down considerably.
 	Observer func(iteration int, instr uint64, vm *cpu.CPU)
 
-	// Monitor, if non-nil, is the in-loop detector for this run. Like
-	// Observer it sees every instruction, so it disables the From and
-	// Golden fast paths.
+	// Monitor, if non-nil, is the in-loop detector for this run. Unlike
+	// Observer it keeps the From and Golden fast paths: a run resumed
+	// from a checkpoint continues with a clone of the monitor frozen in
+	// it (so this Monitor sees no instruction), and a run spliced onto
+	// its golden reference stops calling the monitor at the splice.
 	Monitor Monitor
 
 	// Abort, if non-nil, is polled at every iteration boundary; when it
@@ -103,7 +121,10 @@ type RunSpec struct {
 	// and the checkpoint is silently ignored whenever it cannot
 	// guarantee that (injection before the checkpoint, an Observer
 	// that must see every instruction, RecordStateHashes, a mismatched
-	// port layout).
+	// port layout, a Monitor with a checkpoint captured without one).
+	// A monitored run continues with a clone of the checkpoint's
+	// monitor, which must have been captured under a monitor of the
+	// same configuration as Monitor.
 	From *Checkpoint
 
 	// Golden, if non-nil, is the fault-free outcome of the same spec,
@@ -119,7 +140,9 @@ type RunSpec struct {
 	// RecordStateHashes captures the 128-bit machine-state digest at
 	// every iteration boundary into Outcome.StateHashes, making the
 	// outcome usable as a Golden reference. It costs one digest of the
-	// full state per iteration.
+	// full state per iteration. With a Monitor armed the monitor's
+	// digest is folded in, and the outcome serves as a Golden reference
+	// for monitored runs only.
 	RecordStateHashes bool
 
 	// Interpret forces the classic fetch/decode interpreter instead of
@@ -181,6 +204,9 @@ type Outcome struct {
 	// StateHashes holds the machine-state digest at the start of each
 	// iteration; populated only when RunSpec.RecordStateHashes is set.
 	StateHashes []cpu.Digest
+
+	// monitored reports that StateHashes fold in a monitor's digest.
+	monitored bool
 
 	// ReconvergedAt is the iteration at which the run was found
 	// bit-identical to RunSpec.Golden and its remainder spliced in, or
@@ -290,9 +316,11 @@ func Run(prog *cpu.Program, spec RunSpec) *Outcome {
 
 // goldenUsable reports whether golden can serve as the re-convergence
 // reference for a run of spec: a complete fault-free outcome of the
-// same shape, with a digest recorded at every iteration boundary.
+// same shape, with a digest recorded at every iteration boundary under
+// a monitor exactly when spec arms one.
 func goldenUsable(golden *Outcome, spec RunSpec, ports PortLayout) bool {
-	if golden == nil || golden.Trap != nil || golden.Aborted {
+	if golden == nil || golden.Trap != nil || golden.Aborted ||
+		golden.monitored != (spec.Monitor != nil) {
 		return false
 	}
 	if len(golden.StateHashes) != spec.Iterations ||
@@ -325,6 +353,10 @@ type runner struct {
 	out    *Outcome
 	golden *Outcome
 
+	// monitor is spec.Monitor, or on a resume a clone of the monitor
+	// frozen in the checkpoint.
+	monitor Monitor
+
 	// diverged latches once any output differs from the golden trace:
 	// the environment has then left the golden trajectory and splicing
 	// the golden remainder would be wrong.
@@ -336,8 +368,8 @@ type runner struct {
 	gap       int
 
 	injected bool
-	k        int // current control iteration
-	cycles   int // instructions into the current iteration
+	k        int  // current control iteration
+	cycles   int  // instructions into the current iteration
 	mid      bool // resume inside iteration k (lane fork) — skip boundary work once
 
 	// fork, when non-nil, runs before every instruction (where a solo
@@ -371,7 +403,7 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 			from.iteration < spec.Iterations &&
 			len(from.outHi) == ports.Outputs &&
 			spec.Observer == nil &&
-			spec.Monitor == nil &&
+			(spec.Monitor == nil || from.monitor != nil) &&
 			!spec.RecordStateHashes &&
 			(spec.Injection == nil || spec.Injection.At >= from.vm.InstrCount)
 		if !usable {
@@ -380,11 +412,18 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	}
 
 	port := newIOPort(ports, idle)
-	out := &Outcome{MultiOutputs: make([][]float64, ports.Outputs)}
+	out := &Outcome{
+		MultiOutputs: make([][]float64, ports.Outputs),
+		monitored:    spec.RecordStateHashes && spec.Monitor != nil,
+	}
 	var env Environment
 	var vm *cpu.CPU
+	monitor := spec.Monitor
 	startK := 0
 	if from != nil {
+		if monitor != nil {
+			monitor = from.monitor.Clone()
+		}
 		copy(port.outHi, from.outHi)
 		copy(port.outLo, from.outLo)
 		vm = cpu.NewFromSnapshot(from.vm, port)
@@ -413,15 +452,35 @@ func newRunner(prog *cpu.Program, spec RunSpec) *runner {
 	}
 
 	golden := spec.Golden
-	if spec.Injection == nil || spec.Observer != nil || spec.Monitor != nil ||
-		!goldenUsable(golden, spec, ports) {
+	if spec.Injection == nil || spec.Observer != nil || !goldenUsable(golden, spec, ports) {
 		golden = nil
 	}
 	return &runner{
 		prog: prog, spec: spec, budget: budget, ports: ports,
 		port: port, vm: vm, env: env, out: out, golden: golden,
-		gap: 1, k: startK,
+		monitor: monitor, gap: 1, k: startK,
 	}
+}
+
+// digest is the boundary state digest: the machine's, with the
+// monitor's folded in when one is armed, so that equal digests mean
+// equal machine and equal monitor state.
+func (r *runner) digest() cpu.Digest {
+	d := r.vm.StateDigest()
+	if r.monitor != nil {
+		m := r.monitor.Digest()
+		d[0] ^= mix64(m)
+		d[1] ^= mix64(^m)
+	}
+	return d
+}
+
+// mix64 is the splitmix64 finaliser, a bijective 64-bit mixer.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // run is the engine behind Run and CaptureCheckpoint. When captureAt
@@ -434,7 +493,7 @@ func run(prog *cpu.Program, spec RunSpec, captureAt int) (*Outcome, *Checkpoint)
 }
 
 func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
-	spec, out, vm, port, env := r.spec, r.out, r.vm, r.port, r.env
+	spec, out, vm, port, env, monitor := r.spec, r.out, r.vm, r.port, r.env, r.monitor
 	for ; r.k < spec.Iterations; r.k++ {
 		k := r.k
 		if !r.mid {
@@ -452,7 +511,7 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 				return out, nil
 			}
 			if spec.RecordStateHashes {
-				out.StateHashes = append(out.StateHashes, vm.StateDigest())
+				out.StateHashes = append(out.StateHashes, r.digest())
 			}
 			if k == captureAt {
 				ce, ok := env.(CloneableEnv)
@@ -472,6 +531,9 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 					outputs:   make([][]float64, len(out.MultiOutputs)),
 					starts:    append([]uint64(nil), out.IterationStarts...),
 				}
+				if r.monitor != nil {
+					ck.monitor = r.monitor.Clone()
+				}
 				for j := range ck.outputs {
 					ck.outputs[j] = append([]float64(nil), out.MultiOutputs[j]...)
 				}
@@ -480,10 +542,11 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			if r.golden != nil && r.injected && !r.diverged && k >= r.nextCheck {
 				golden := r.golden
 				if vm.InstrCount() == golden.IterationStarts[k] &&
-					vm.StateDigest() == golden.StateHashes[k] {
-					// The machine state and the whole output history match
-					// the fault-free run, so the remainder is bit-identical
-					// to it: splice it in instead of re-executing.
+					r.digest() == golden.StateHashes[k] {
+					// The machine and monitor state and the whole output
+					// history match the fault-free run, so the remainder
+					// is bit-identical to it: splice it in instead of
+					// re-executing.
 					for j := range out.MultiOutputs {
 						out.MultiOutputs[j] = append(out.MultiOutputs[j], golden.MultiOutputs[j][k:]...)
 					}
@@ -525,8 +588,8 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			if spec.Observer != nil {
 				spec.Observer(k, vm.InstrCount(), vm)
 			}
-			if spec.Monitor != nil {
-				if t := spec.Monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
+			if monitor != nil {
+				if t := monitor.OnInstr(k, vm.InstrCount(), vm); t != nil {
 					out.Trap = t
 					out.TrapIteration = k
 					out.Instructions = vm.InstrCount()
@@ -565,8 +628,8 @@ func (r *runner) run(captureAt int) (*Outcome, *Checkpoint) {
 			}
 		}
 		env.Deliver(k, u)
-		if spec.Monitor != nil {
-			if t := spec.Monitor.OnIteration(k, vm); t != nil {
+		if monitor != nil {
+			if t := monitor.OnIteration(k, vm); t != nil {
 				out.Trap = t
 				out.TrapIteration = k
 				out.Instructions = vm.InstrCount()

@@ -211,4 +211,6 @@ func TestLockstepDeclines(t *testing.T) {
 type nopMonitor struct{}
 
 func (nopMonitor) OnInstr(int, uint64, *cpu.CPU) *cpu.TrapError { return nil }
-func (nopMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError    { return nil }
+func (nopMonitor) OnIteration(int, *cpu.CPU) *cpu.TrapError     { return nil }
+func (nopMonitor) Clone() Monitor                               { return nopMonitor{} }
+func (nopMonitor) Digest() uint64                               { return 0 }
